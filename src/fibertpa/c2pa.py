@@ -18,7 +18,7 @@ Goeppert-Mayer unit (1 GM = 1e-50 cm^4 s) appears only at I/O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,13 +66,10 @@ class FluorophoreSpec:
     def number_density_per_cm3(self) -> float:
         return molar_to_number_density(self.concentration_m)
 
-    def with_concentration(self, concentration_m: float) -> "FluorophoreSpec":
-        return FluorophoreSpec(
-            quantum_yield=self.quantum_yield,
-            emission_peak_nm=self.emission_peak_nm,
-            concentration_m=concentration_m,
-            emission_spectrum=self.emission_spectrum,
-        )
+    @property
+    def spectral_mode(self) -> str:
+        """Which emission model produced a result; every report states it."""
+        return "tabulated spectrum" if self.emission_spectrum else "single line"
 
     @classmethod
     def with_spectrum_shape(cls, quantum_yield, emission_peak_nm, concentration_m,
@@ -182,6 +179,18 @@ def adaptive_simpson(f, a: float, b: float, rtol: float = 1e-8,
     )
 
 
+def depth_integral(weight, length_cm: float, fluorophore: FluorophoreSpec,
+                   detection: DetectionChain, attenuation: AttenuationModel,
+                   fiber: FiberSpec, rtol: float = 1e-8) -> float:
+    """int_0^l w(z) EI(z) dz; the laser and pair regimes differ only in w(z)."""
+
+    def integrand(z):
+        return weight(z) * emission_integral(fluorophore, detection,
+                                             attenuation, fiber, z)
+
+    return adaptive_simpson(integrand, 0.0, length_cm, rtol=rtol)
+
+
 def configuration_integral(source: SourceSpec, fiber: FiberSpec,
                            attenuation: AttenuationModel,
                            fluorophore: FluorophoreSpec,
@@ -194,18 +203,16 @@ def configuration_integral(source: SourceSpec, fiber: FiberSpec,
     quadratic forward model and its inversion.
     """
     lam_e = source.wavelength_nm
-    l = fiber.length_cm if length_cm is None else length_cm
 
-    def integrand(z):
+    def weight(z):
         t2 = (
             attenuation.absorption_transmission(lam_e, z)
             * attenuation.scatter_transmission(lam_e, z)
         ) ** 2
-        tau_s = pulse_duration(source, fiber, z) * FS_TO_S
-        return t2 / tau_s * emission_integral(fluorophore, detection,
-                                              attenuation, fiber, z)
+        return t2 / (pulse_duration(source, fiber, z) * FS_TO_S)
 
-    return adaptive_simpson(integrand, 0.0, l, rtol=rtol)
+    return depth_integral(weight, fiber.length_cm if length_cm is None else length_cm,
+                          fluorophore, detection, attenuation, fiber, rtol=rtol)
 
 
 def _quadratic_gain(source: SourceSpec, fiber: FiberSpec) -> float:
@@ -272,21 +279,13 @@ def conc_normalized_curve(sigma_c_cm4s: float, source: SourceSpec,
     c = np.asarray(concentrations_m, dtype=float)
     if c.ndim != 1 or c.size == 0 or np.any(c <= 0) or np.any(np.diff(c) <= 0):
         raise DataError("concentration grid must be positive and ascending")
-    source = SourceSpec(
-        kind="laser",
-        wavelength_nm=source.wavelength_nm,
-        rep_rate_hz=source.rep_rate_hz,
-        pulse_fwhm_fs=source.pulse_fwhm_fs,
-        photon_energy_j=source.photon_energy_j,
-        pre_fiber_gdd_fs2=source.pre_fiber_gdd_fs2,
-        input_power_w=w0_w,
-    )
+    source = replace(source, kind="laser", input_power_w=w0_w)
     out = []
     for ci in c:
         fc = forward_c2pef(
             sigma_c_cm4s, source, fiber,
-            attenuation.with_concentration(ci),
-            fluorophore.with_concentration(ci),
+            replace(attenuation, concentration_m=ci),
+            replace(fluorophore, concentration_m=ci),
             detection, rtol=rtol,
         )
         out.append((float(ci), fc / ci))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,6 @@ from .jsa import (JointSpectrum, entanglement_time_profile, fit_te_model,
                   write_te_profile_csv)
 from .report import build_report
 from .tables import write_csv
-from .uncertainty import Measured, propagate
 
 
 def _parse_power_grid(text: str) -> np.ndarray:
@@ -69,13 +69,7 @@ def cmd_simulate_c2pef(args) -> int:
     grid = _parse_power_grid(args.power_grid)
     rows = []
     for w0 in grid:
-        src = cfg.source
-        src = type(src)(
-            kind="laser", wavelength_nm=src.wavelength_nm,
-            rep_rate_hz=src.rep_rate_hz, pulse_fwhm_fs=src.pulse_fwhm_fs,
-            photon_energy_j=src.photon_energy_j,
-            pre_fiber_gdd_fs2=src.pre_fiber_gdd_fs2, input_power_w=float(w0),
-        )
+        src = replace(cfg.source, input_power_w=float(w0))
         fc = forward_c2pef(sigma_gm * GM_CM4_S, src, cfg.fiber, cfg.attenuation,
                            cfg.fluorophore, cfg.detection,
                            rtol=cfg.z_quadrature_rtol)
@@ -107,19 +101,12 @@ def cmd_invert_c2pa(args) -> int:
         sigma = invert_sigma_c(coeff_uw2 * 1e12, cfg.source, cfg.fiber,
                                cfg.attenuation, cfg.fluorophore, cfg.detection,
                                rtol=cfg.z_quadrature_rtol)
-        budget = (cfg.measurement or {}).get("budget")
-        expanded = None
-        if budget:
-            b = propagate([Measured(x["name"], x["rel_sigma"], x.get("exponent", 1.0))
-                           for x in budget],
-                          coverage_k=(cfg.measurement or {}).get("coverage_k", 2.0))
-            expanded = b.expanded_rel
+        budget = cfg.budget
         sigmas.append(sigma)
         gm = sigma / GM_CM4_S
-        mode = ("tabulated spectrum" if cfg.fluorophore.emission_spectrum
-                else "single line")
-        if expanded is not None:
-            print(f"{cfg_path}: sigma_C = {gm:.1f} +/- {gm * expanded:.1f} GM "
+        mode = cfg.fluorophore.spectral_mode
+        if budget is not None:
+            print(f"{cfg_path}: sigma_C = {gm:.1f} +/- {gm * budget.expanded_rel:.1f} GM "
                   f"(k-expanded, spectral mode: {mode})")
         else:
             print(f"{cfg_path}: sigma_C = {gm:.1f} GM (spectral mode: {mode})")
@@ -141,10 +128,8 @@ def cmd_e2pa_bound(args) -> int:
                               cfg.attenuation, cfg.fiber, cfg.fluorophore,
                               cfg.detection, cfg.te_model,
                               rtol=cfg.z_quadrature_rtol)
-    mode = ("tabulated spectrum" if cfg.fluorophore.emission_spectrum
-            else "single line")
     print(f"sigma_E upper bound = {sig:.4e} cm^2 at F_LB = {args.flb:g} cnt/s "
-          f"(spectral mode: {mode})")
+          f"(spectral mode: {cfg.fluorophore.spectral_mode})")
     lo, hi = cfg.pair_source.entanglement_area_um2
     if hi > 0:
         print(f"entanglement area interval [{lo:g}, {hi:g}] um^2; the bound "
@@ -201,7 +186,7 @@ def cmd_synth_frames(args) -> int:
             camera = cfg.camera
         source_kind = cfg.source.kind
         if seed is None and cfg.seeds:
-            seed = int(cfg.seeds.get("frames", 0))
+            seed = cfg.seeds.get("frames", 0)
     drift = PowerDrift(kind=args.drift, magnitude=args.drift_magnitude) \
         if args.drift != "none" else PowerDrift()
     series = synthesize_series(

@@ -23,6 +23,7 @@ from .materials import MATERIAL_REGISTRY, MaterialDispersion
 from .propagation import AttenuationModel, SourceSpec
 from .e2pa import PairSource
 from .tables import SpectralTable, coerce_table
+from .uncertainty import Budget, Measured, propagate
 
 _SECTION_KEYS = {
     "fiber", "source", "attenuation", "fluorophore", "detection",
@@ -48,9 +49,15 @@ class RunConfig:
 
     @property
     def z_quadrature_rtol(self) -> float:
-        if self.tolerances and "z_quadrature_rtol" in self.tolerances:
-            return float(self.tolerances["z_quadrature_rtol"])
-        return 1e-8
+        return (self.tolerances or {}).get("z_quadrature_rtol", 1e-8)
+
+    @property
+    def budget(self) -> Budget | None:
+        """The uncertainty budget declared in ``measurement``, if any."""
+        meas = self.measurement or {}
+        if not meas.get("budget"):
+            return None
+        return propagate(meas["budget"], coverage_k=meas.get("coverage_k", 2.0))
 
 
 class _Section:
@@ -73,11 +80,8 @@ class _Section:
             return default
         self.seen.add(key)
         v = self.data[key]
-        if kind is not None and v is not None and not isinstance(v, kind):
-            raise ConfigError(
-                f"{self.path}.{key}: expected {getattr(kind, '__name__', kind)}, "
-                f"got {type(v).__name__}"
-            )
+        if kind is not None and v is not None:
+            _typed(kind)(v, f"{self.path}.{key}")
         return v
 
     def finish(self):
@@ -88,16 +92,39 @@ class _Section:
             )
 
 
-def _positive(value, path):
-    if not isinstance(value, (int, float)) or value <= 0:
-        raise ConfigError(f"{path} must be a positive number, got {value!r}")
-    return float(value)
+def _typed(kind):
+    """Type check; ``bool`` never passes, not even as an ``int``."""
+    def check(value, path):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"{path}: expected {getattr(kind, '__name__', kind)}, "
+                              f"got {type(value).__name__}")
+        return value
+    return check
 
 
-def _non_negative(value, path):
-    if not isinstance(value, (int, float)) or value < 0:
-        raise ConfigError(f"{path} must be a non-negative number, got {value!r}")
-    return float(value)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numeric(test, what: str):
+    def check(value, path):
+        if not _is_number(value) or not test(value):
+            raise ConfigError(f"{path} must be {what}, got {value!r}")
+        return float(value)
+    return check
+
+
+_positive = _numeric(lambda v: v > 0, "a positive number")
+_non_negative = _numeric(lambda v: v >= 0, "a non-negative number")
+_fraction = _numeric(lambda v: 0 < v <= 1, "a number in (0, 1]")
+_number = _numeric(lambda v: True, "a number")
+
+
+def _number_pair(value, path) -> tuple[float, float]:
+    if not (isinstance(value, list) and len(value) == 2
+            and all(_is_number(v) for v in value)):
+        raise ConfigError(f"{path} must be a list of exactly 2 numbers, got {value!r}")
+    return float(value[0]), float(value[1])
 
 
 def _resolve(spec, base: Path):
@@ -125,7 +152,8 @@ def _material(spec, path: str) -> MaterialDispersion:
         name=sec.require("name", str),
         convention=sec.require("convention", str),
         coefficients=tuple(tuple(p) for p in sec.require("coefficients", list)),
-        valid_range_nm=tuple(sec.require("valid_range_nm", list)),
+        valid_range_nm=_number_pair(sec.require("valid_range_nm"),
+                                    f"{path}.valid_range_nm"),
     )
     sec.finish()
     return mat
@@ -195,14 +223,15 @@ def _load_fluorophore(data, base) -> FluorophoreSpec:
 def _load_detection(data, base) -> DetectionChain:
     sec = _Section(data, "detection")
     gamma0 = coerce_table(_resolve(sec.require("gamma0"), base), "gamma0")
-    band = sec.get("band_nm", list, default=[400.0, 700.0])
+    band = _number_pair(sec.get("band_nm", default=[400.0, 700.0]), "detection.band_nm")
     sec.finish()
-    return DetectionChain(gamma0=gamma0, band_nm=(float(band[0]), float(band[1])))
+    return DetectionChain(gamma0=gamma0, band_nm=band)
 
 
 def _load_pair_source(data) -> tuple[PairSource, dict]:
     sec = _Section(data, "pair_source")
-    ae = sec.get("entanglement_area_um2", list, default=[0.0, 0.0])
+    ae = _number_pair(sec.get("entanglement_area_um2", default=[0.0, 0.0]),
+                      "pair_source.entanglement_area_um2")
     ps = PairSource(
         effective_klyshko=_positive(sec.require("effective_klyshko"),
                                     "pair_source.effective_klyshko"),
@@ -212,7 +241,7 @@ def _load_pair_source(data) -> tuple[PairSource, dict]:
         single_rate_per_s=_non_negative(sec.require("single_rate_per_s"),
                                         "pair_source.single_rate_per_s"),
         spatial_modes=float(sec.get("spatial_modes", (int, float), default=1.0)),
-        entanglement_area_um2=(float(ae[0]), float(ae[1])),
+        entanglement_area_um2=ae,
     )
     # context values used only by reports
     extras = {
@@ -234,6 +263,40 @@ def _load_te_model(data, source: SourceSpec, fiber: FiberSpec) -> EntanglementTi
     )
     sec.finish()
     return model
+
+
+def _fields(data, path: str, checks: dict, required=()) -> dict:
+    """Validate a section whose accepted keys are those of ``checks``."""
+    sec = _Section(data, path)
+    for key in required:
+        sec.require(key)
+    out = {key: check(sec.get(key), f"{path}.{key}")
+           for key, check in checks.items() if key in sec.data}
+    sec.finish()
+    return out
+
+
+def _optional(raw: dict, key: str, checks: dict, required=()) -> dict | None:
+    """An optional top-level section; absent or null reads as None."""
+    return None if raw.get(key) is None else _fields(raw[key], key, checks, required)
+
+
+def _budget(value, path) -> list[Measured]:
+    entry = {"name": _typed(str), "rel_sigma": _non_negative, "exponent": _number}
+    return [Measured(**_fields(e, f"{path}[{i}]", entry, ("name", "rel_sigma")))
+            for i, e in enumerate(_typed(list)(value, path))]
+
+
+def _ratio_inputs(value, path) -> dict:
+    keys = ("sigma_e_ub_cm2", "te_fs", "ae_um2")
+    return _fields(value, path, dict.fromkeys(keys, _positive), keys)
+
+
+_COMPARISON = dict.fromkeys(("this", "other"), _ratio_inputs)
+_MEASUREMENT = {
+    "fc_per_w0sq_cnt_s_uw2": _positive, "eta_t": _fraction, "f_lb_cnt_s": _positive,
+    "sigma_c_gm": _positive, "coverage_k": _positive, "budget": _budget,
+}
 
 
 def load_config(path) -> RunConfig:
@@ -275,12 +338,8 @@ def load_config(path) -> RunConfig:
         except TypeError as exc:
             raise ConfigError(f"camera: {exc}") from exc
 
-    measurement = raw.get("measurement")
-    if measurement is not None and not isinstance(measurement, dict):
-        raise ConfigError("measurement: expected an object")
-    if measurement and pair_extras:
-        measurement = {**pair_extras, **measurement}
-    elif pair_extras and any(v is not None for v in pair_extras.values()):
+    measurement = _optional(raw, "measurement", _MEASUREMENT)
+    if measurement or any(v is not None for v in pair_extras.values()):
         measurement = {**(measurement or {}), **pair_extras}
 
     return RunConfig(
@@ -293,7 +352,7 @@ def load_config(path) -> RunConfig:
         te_model=te_model,
         camera=camera,
         measurement=measurement,
-        comparison=raw.get("comparison"),
-        seeds=raw.get("seeds"),
-        tolerances=raw.get("tolerances"),
+        comparison=_optional(raw, "comparison", _COMPARISON, required=("this", "other")),
+        seeds=_optional(raw, "seeds", {"frames": _typed(int)}),
+        tolerances=_optional(raw, "tolerances", {"z_quadrature_rtol": _positive}),
     )

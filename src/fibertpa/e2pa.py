@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .c2pa import DetectionChain, FluorophoreSpec, adaptive_simpson, emission_integral
+from .c2pa import DetectionChain, FluorophoreSpec, depth_integral
 from .errors import ConfigError
 from .fiber import FiberSpec
 from .jsa import EntanglementTimeModel
@@ -118,12 +118,12 @@ def _pair_excitation_integral(source: SourceSpec, pair_source: PairSource,
     lam_e = source.wavelength_nm
     te0 = te_model.te_fs(0.0)
 
-    def integrand(z):
-        qp = pair_rate(pair_source, attenuation, lam_e, z)
-        return (te0 / te_model.te_fs(z)) * qp * emission_integral(
-            fluorophore, detection, attenuation, fiber, z)
+    def weight(z):
+        return (te0 / te_model.te_fs(z)) * pair_rate(pair_source, attenuation,
+                                                      lam_e, z)
 
-    return adaptive_simpson(integrand, 0.0, fiber.length_cm, rtol=rtol)
+    return depth_integral(weight, fiber.length_cm, fluorophore, detection,
+                          attenuation, fiber, rtol=rtol)
 
 
 def forward_e2pef(sigma_e_cm2: float, source: SourceSpec,

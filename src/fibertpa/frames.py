@@ -18,7 +18,7 @@ regenerated independently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,20 +48,6 @@ class CameraConfig:
             raise ConfigError("S, G and T must all be positive")
         if self.roi[0] < 1 or self.roi[1] < 1:
             raise ConfigError(f"ROI must be non-empty, got {self.roi}")
-
-    def to_dict(self) -> dict:
-        return {
-            "sensitivity_e_per_adu": self.sensitivity_e_per_adu,
-            "em_gain_e_per_cnt": self.em_gain_e_per_cnt,
-            "integration_s": self.integration_s,
-            "superpixel_bin": self.superpixel_bin,
-            "roi": list(self.roi),
-            "baseline_adu_per_px": self.baseline_adu_per_px,
-            "baseline_unc_adu_per_px": self.baseline_unc_adu_per_px,
-            "dark_e_per_s_px": self.dark_e_per_s_px,
-            "dark_unc_e_per_s_px": self.dark_unc_e_per_s_px,
-            "read_noise_e": self.read_noise_e,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "CameraConfig":
@@ -174,6 +160,8 @@ def synthesize_series(truth_rate_cnt_s: float, camera: CameraConfig,
         raise ConfigError(f"need at least one frame, got {n_frames}")
     if truth_rate_cnt_s < 0:
         raise ConfigError("truth rate must be non-negative")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     pattern = _spot_pattern(camera.roi)
     cam = camera
     t = cam.integration_s
@@ -406,7 +394,7 @@ def write_series(series: FrameSeries, out_dir) -> Path:
         entries.append({"signal": sig_name, "background": bkg_name,
                         "w_out_w": float(w)})
     manifest = {
-        "camera": series.camera.to_dict(),
+        "camera": asdict(series.camera),
         "source_kind": series.source_kind,
         "frames": entries,
     }
@@ -432,9 +420,15 @@ def read_series(manifest_path) -> FrameSeries:
     base = path.parent
     signal, background, w_out = [], [], []
     for e in entries:
-        signal.append(_read_image(base / e["signal"]))
-        background.append(_read_image(base / e["background"]))
-        w_out.append(float(e["w_out_w"]))
+        try:
+            sig, bkg = base / e["signal"], base / e["background"]
+            w = float(e["w_out_w"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"unreadable manifest {path}: frame entry {e!r} "
+                            f"({type(exc).__name__}: {exc})") from exc
+        signal.append(_read_image(sig))
+        background.append(_read_image(bkg))
+        w_out.append(w)
     return FrameSeries(signal=signal, background=background,
                        w_out_w=np.asarray(w_out), camera=camera,
                        source_kind=source_kind)

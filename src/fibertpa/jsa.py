@@ -16,7 +16,6 @@ crossings keeps the width meaningful for strongly non-Gaussian spectra.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,9 +25,10 @@ from scipy.optimize import least_squares
 
 from .constants import LN2
 from .errors import DataError, FitError
-from .tables import write_csv
+from .tables import data_rows, write_csv
 
 _FWHM_OF_STD = 2.0 * np.sqrt(2.0 * LN2)
+_JSI_HEADER = ("omega_pump_rad_s", "omega_signal_rad_s", "omega_idler_rad_s")
 
 
 @dataclass(frozen=True)
@@ -78,31 +78,27 @@ class JointSpectrum:
         if not path.exists():
             raise DataError(f"JSI file not found: {path}")
         with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+            rows = list(data_rows(fh))
+        labels = [r[0] for r in rows[:3]]
+        if labels != list(_JSI_HEADER):
+            raise DataError(f"{path}: malformed JSI grid (header rows must start "
+                            f"with {', '.join(_JSI_HEADER)}; got {labels})")
         try:
-            assert rows[0][0] == "omega_pump_rad_s"
             wp = float(rows[0][1])
-            assert rows[1][0] == "omega_signal_rad_s"
             ws = np.array([float(x) for x in rows[1][1:]])
-            assert rows[2][0] == "omega_idler_rad_s"
             wi = np.array([float(x) for x in rows[2][1:]])
             grid = np.array([[float(x) for x in r] for r in rows[3:]])
-        except (AssertionError, ValueError, IndexError) as exc:
+        except (ValueError, IndexError) as exc:
             raise DataError(f"{path}: malformed JSI grid ({exc})") from exc
         return cls(ws, wi, grid, wp)
 
     def write_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["omega_pump_rad_s", repr(float(self.omega_pump_rad_s))])
-            w.writerow(["omega_signal_rad_s"]
-                       + [repr(float(x)) for x in self.omega_signal_rad_s])
-            w.writerow(["omega_idler_rad_s"]
-                       + [repr(float(x)) for x in self.omega_idler_rad_s])
-            for row in self.intensity:
-                w.writerow([repr(float(x)) for x in row])
+        pump, signal, idler = _JSI_HEADER
+        write_csv(path, [pump, repr(float(self.omega_pump_rad_s))], [
+            [signal] + [repr(float(x)) for x in self.omega_signal_rad_s],
+            [idler] + [repr(float(x)) for x in self.omega_idler_rad_s],
+            *([repr(float(x)) for x in row] for row in self.intensity),
+        ])
 
 
 def _difference_axis_projection(jti: np.ndarray, dt_fs: float):

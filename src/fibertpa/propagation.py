@@ -140,15 +140,6 @@ class AttenuationModel:
         """eta_S(lambda, z)."""
         return np.exp(-self.scatter_coefficient(wavelength_nm) * z_cm)
 
-    def with_concentration(self, concentration_m: float) -> "AttenuationModel":
-        return AttenuationModel(
-            solvent_absorption_per_cm=self.solvent_absorption_per_cm,
-            sample_extinction_per_m_cm=self.sample_extinction_per_m_cm,
-            concentration_m=concentration_m,
-            fiber_scatter_per_cm=self.fiber_scatter_per_cm,
-            extinction_convention=self.extinction_convention,
-        )
-
 
 def power_at(source: SourceSpec, attenuation: AttenuationModel, z_cm) -> float:
     """Average power W(z) at the excitation wavelength."""

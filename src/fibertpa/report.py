@@ -16,10 +16,10 @@ from .c2pa import invert_sigma_c
 from .config import RunConfig
 from .constants import GM_CM4_S
 from .e2pa import sigma_e_upper_bound, upper_bound_ratio
-from .errors import FiberTpaError
+from .errors import ConfigError, FiberTpaError
 from .fiber import collection_efficiency, v_number
 from .propagation import efficiency_components, peak_flux, photon_rate
-from .uncertainty import Measured, budget_report, propagate
+from .uncertainty import budget_report
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,10 @@ def build_report(config: RunConfig, f_lb_cnt_s: float | None = None) -> str:
                  f"{att.scatter_coefficient(lam_f):.5g} /cm "
                  f"({att.extinction_convention} extinction)")
     fl = config.fluorophore
-    spectral_mode = "tabulated spectrum" if fl.emission_spectrum else "single line"
     lines.append(f"  sample: c = {fl.concentration_m:g} M "
                  f"(n = {fl.number_density_per_cm3:.4e} /cm^3), "
                  f"yield = {fl.quantum_yield:g}, peak = {lam_f:g} nm, "
-                 f"spectral mode = {spectral_mode}")
+                 f"spectral mode = {fl.spectral_mode}")
     lines.append(f"  detection: gamma0({lam_f:g} nm) = "
                  f"{config.detection.gamma0(lam_f):g}, band = "
                  f"{config.detection.band_nm[0]:g}-{config.detection.band_nm[1]:g} nm")
@@ -128,7 +127,10 @@ def build_report(config: RunConfig, f_lb_cnt_s: float | None = None) -> str:
     if eta_t is not None:
         eta_a = config.attenuation.absorption_transmission(lam_e, fiber.length_cm)
         eta_s = config.attenuation.scatter_transmission(lam_e, fiber.length_cm)
-        eta_c = efficiency_components(eta_t, eta_a, eta_s)
+        try:
+            eta_c = efficiency_components(eta_t, eta_a, eta_s)
+        except ValueError as exc:
+            raise ConfigError(f"measurement.eta_t: {exc}") from exc
         lines.append(f"  eta_T = {eta_t:g} -> eta_A = {eta_a:.4f}, "
                      f"eta_S = {eta_s:.4f}, eta_C = {eta_c:.4f}")
         if abs(eta_t - 0.43) < 1e-12:
@@ -174,11 +176,9 @@ def build_report(config: RunConfig, f_lb_cnt_s: float | None = None) -> str:
         lines.append("classical cross-section")
         sigma = invert_sigma_c(fc_coeff * 1e12, source, fiber, config.attenuation,
                                config.fluorophore, config.detection, rtol=rtol)
-        mode = ("tabulated spectrum" if config.fluorophore.emission_spectrum
-                else "single line")
         lines.append(f"  fit coefficient = {_fmt(fc_coeff)} cnt/s/uW^2")
         lines.append(f"  sigma_C = {sigma / GM_CM4_S:.1f} GM  "
-                     f"(spectral mode: {mode})")
+                     f"(spectral mode: {fl.spectral_mode})")
 
     if ps is not None and te is not None and source.kind == "spdc":
         flb = f_lb_cnt_s if f_lb_cnt_s is not None else meas.get("f_lb_cnt_s", 1.0)
@@ -187,14 +187,12 @@ def build_report(config: RunConfig, f_lb_cnt_s: float | None = None) -> str:
         sig_ub = sigma_e_upper_bound(flb, source, ps, config.attenuation, fiber,
                                      config.fluorophore, config.detection, te,
                                      rtol=rtol)
-        mode = ("tabulated spectrum" if config.fluorophore.emission_spectrum
-                else "single line")
         lines.append(f"  F_LB = {flb:g} cnt/s")
         lines.append(f"  sigma_E upper bound = {_fmt(sig_ub)} cm^2  "
-                     f"(spectral mode: {mode})")
+                     f"(spectral mode: {fl.spectral_mode})")
 
     comp = config.comparison
-    if comp and "this" in comp and "other" in comp:
+    if comp:
         a, b = comp["this"], comp["other"]
         r = upper_bound_ratio(a["sigma_e_ub_cm2"], a["te_fs"], a["ae_um2"],
                               b["sigma_e_ub_cm2"], b["te_fs"], b["ae_um2"])
@@ -204,14 +202,9 @@ def build_report(config: RunConfig, f_lb_cnt_s: float | None = None) -> str:
         checks.append(ReferenceCheck("R_UB", 8.5, 0.2, r))
 
     # --- uncertainty example ---------------------------------------------------
-    budget_inputs = meas.get("budget")
-    if budget_inputs:
+    budget = config.budget
+    if budget is not None:
         lines.append("")
-        budget = propagate(
-            [Measured(b["name"], b["rel_sigma"], b.get("exponent", 1.0))
-             for b in budget_inputs],
-            coverage_k=meas.get("coverage_k", 2.0),
-        )
         lines.append(budget_report(budget, "cross-section"))
 
     # --- reference checks -------------------------------------------------------

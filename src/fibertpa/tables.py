@@ -61,37 +61,16 @@ class SpectralTable:
     @classmethod
     def from_csv(cls, path: str | Path, name: str | None = None) -> "SpectralTable":
         """Read a two-column CSV (wavelength_nm, value); header row optional."""
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"table file not found: {path}")
-        wl, vals = [], []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].strip().startswith("#"):
-                    continue
-                try:
-                    w, v = float(row[0]), float(row[1])
-                except (ValueError, IndexError):
-                    if not wl:  # tolerate a single header line
-                        continue
-                    raise DataError(f"{path}: malformed row {row!r}")
-                wl.append(w)
-                vals.append(v)
-        if not wl:
-            raise DataError(f"{path}: no numeric rows")
+        wl, vals = _read_two_columns(path, "table")
         order = np.argsort(wl)
-        return cls(
-            tuple(np.asarray(wl)[order]),
-            tuple(np.asarray(vals)[order]),
-            name=name or path.stem,
-        )
+        return cls(tuple(wl[order]), tuple(vals[order]), name=name or Path(path).stem)
 
 
 def coerce_table(spec, name: str) -> SpectralTable:
     """Accept a scalar, mapping, CSV path, or SpectralTable."""
     if isinstance(spec, SpectralTable):
         return spec
-    if isinstance(spec, (int, float)):
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         return SpectralTable.constant(float(spec), name=name)
     if isinstance(spec, dict):
         return SpectralTable.from_mapping(spec, name=name)
@@ -111,23 +90,41 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
             w.writerow(list(row))
 
 
-def read_profile_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a (z_cm, intensity) scatter profile CSV; header row optional."""
+def data_rows(fh):
+    """CSV rows of an open file, skipping blank rows and ``#`` comments."""
+    return (row for row in csv.reader(fh)
+            if row and not row[0].strip().startswith("#"))
+
+
+def read_csv_rows(path: str | Path, parse, what: str) -> list:
+    """``parse(row)`` for every data row of a CSV file.
+
+    The first data row may be a header: it is skipped when ``parse``
+    rejects it with ``ValueError`` or ``IndexError``.  Any later row that
+    ``parse`` rejects is malformed.
+    """
     path = Path(path)
     if not path.exists():
-        raise DataError(f"profile file not found: {path}")
-    z, i = [], []
+        raise DataError(f"{what} file not found: {path}")
+    out = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
+        for i, row in enumerate(data_rows(fh)):
             try:
-                z.append(float(row[0]))
-                i.append(float(row[1]))
+                out.append(parse(row))
             except (ValueError, IndexError):
-                if not z:
-                    continue
-                raise DataError(f"{path}: malformed row {row!r}")
-    if not z:
-        raise DataError(f"{path}: no numeric rows")
-    return np.asarray(z, dtype=float), np.asarray(i, dtype=float)
+                if i > 0:
+                    raise DataError(f"{path}: malformed row {row!r}") from None
+    return out
+
+
+def _read_two_columns(path: str | Path, what: str) -> tuple[np.ndarray, np.ndarray]:
+    rows = read_csv_rows(path, lambda r: (float(r[0]), float(r[1])), what)
+    if not rows:
+        raise DataError(f"{Path(path)}: no numeric rows")
+    x, y = np.asarray(rows, dtype=float).T
+    return x, y
+
+
+def read_profile_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a (z_cm, intensity) scatter profile CSV; header row optional."""
+    return _read_two_columns(path, "profile")

@@ -9,13 +9,10 @@ standard uncertainty contributes exponent * rel_sigma in quadrature:
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-from pathlib import Path
-
 import math
+from dataclasses import dataclass
 
-from .errors import DataError
+from .tables import read_csv_rows, write_csv
 
 
 @dataclass(frozen=True)
@@ -74,28 +71,10 @@ def budget_report(budget: Budget, target_name: str) -> str:
 
 def read_budget_csv(path) -> list[Measured]:
     """Read (name, rel_sigma, exponent) rows; header optional."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"budget file not found: {path}")
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            try:
-                out.append(Measured(row[0].strip(), float(row[1]), float(row[2])))
-            except (ValueError, IndexError):
-                if not out:
-                    continue
-                raise DataError(f"{path}: malformed row {row!r}")
-    return out
+    return read_csv_rows(
+        path, lambda r: Measured(r[0].strip(), float(r[1]), float(r[2])), "budget")
 
 
 def write_budget_csv(path, inputs: list[Measured]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name", "rel_sigma", "exponent"])
-        for m in inputs:
-            w.writerow([m.name, m.rel_sigma, m.exponent])
+    write_csv(path, ["name", "rel_sigma", "exponent"],
+              ((m.name, m.rel_sigma, m.exponent) for m in inputs))

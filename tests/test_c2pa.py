@@ -1,5 +1,7 @@
 """Forward fluorescence model, inversion, and the concentration curve."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -248,13 +250,8 @@ class TestInversion:
 
 class TestConcentrationCurve:
     def test_flat_without_reabsorption(self, fiber2, detection3):
-        att = make_attenuation(concentration_m=0.0).with_concentration(0.0)
-        att = type(att)(
-            solvent_absorption_per_cm=att.solvent_absorption_per_cm,
-            sample_extinction_per_m_cm=SpectralTable.constant(0.0),
-            concentration_m=0.0,
-            fiber_scatter_per_cm=att.fiber_scatter_per_cm,
-        )
+        att = dataclasses.replace(make_attenuation(concentration_m=0.0),
+                                  sample_extinction_per_m_cm=SpectralTable.constant(0.0))
         fl = FluorophoreSpec(0.67, 451.0, 1e-3)
         grid = np.logspace(-5, np.log10(3e-3), 7)
         curve = conc_normalized_curve(390.0 * GM_CM4_S, laser(), fiber2, att, fl,
@@ -273,12 +270,8 @@ class TestConcentrationCurve:
     def test_dilute_limit_matches_no_reabsorption(self, fiber2, fluorophore3,
                                                   detection3):
         att = make_attenuation()
-        no_reabs = type(att)(
-            solvent_absorption_per_cm=att.solvent_absorption_per_cm,
-            sample_extinction_per_m_cm=SpectralTable.constant(0.0),
-            concentration_m=0.0,
-            fiber_scatter_per_cm=att.fiber_scatter_per_cm,
-        )
+        no_reabs = dataclasses.replace(att, concentration_m=0.0,
+                                       sample_extinction_per_m_cm=SpectralTable.constant(0.0))
         tiny = 1e-9
         with_r = conc_normalized_curve(390.0 * GM_CM4_S, laser(), fiber2, att,
                                        fluorophore3, detection3, [tiny])

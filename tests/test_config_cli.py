@@ -2,8 +2,10 @@
 
 import csv
 import json
+import os
 import shutil
-from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from fibertpa.cli import main
 from fibertpa.errors import ConfigError
 
 from tests.conftest import CONFIG_DIR
+
+SRC_DIR = CONFIG_DIR.parent / "src"
 
 
 @pytest.fixture
@@ -100,7 +104,96 @@ class TestConfigLoading:
         assert cfg.fiber.scatter_per_cm(810.0) == 0.0
 
 
+_DELETE = object()
+
+
+def edit(dotted, value=_DELETE):
+    """Config mutation: set (or, without a value, delete) one dotted path;
+    integer parts index lists and missing objects are created."""
+    def mutate(cfg):
+        *parents, last = (int(k) if k.isdigit() else k for k in dotted.split("."))
+        node = cfg
+        for key in parents:
+            node = node[key] if isinstance(key, int) else node.setdefault(key, {})
+        if value is _DELETE:
+            del node[last]
+        else:
+            node[last] = value
+    return mutate
+
+
+# (bundled config, subcommand, mutation): malformed inputs that must end in
+# exit 2 and an error line, never a traceback or a run on a wrong value
+MALFORMED = [
+    pytest.param("experiment-3", "report", edit("measurement.budget.0.name"),
+                 id="budget-entry-without-name"),
+    pytest.param("experiment-3", "invert-c2pa",
+                 edit("measurement.budget.0.rel_sigma", -0.1), id="negative-rel-sigma"),
+    pytest.param("experiment-3", "invert-c2pa", edit("measurement.coverage_k", 0),
+                 id="zero-coverage-k"),
+    pytest.param("experiment-spdc", "report", edit("comparison.other.te_fs"),
+                 id="partial-comparison"),
+    pytest.param("experiment-3", "report", edit("measurement.eta_t", 1.5),
+                 id="eta-t-above-one"),
+    pytest.param("experiment-3", "report", edit("measurement.eta_t", 1.0),
+                 id="eta-t-inconsistent-with-losses"),
+    pytest.param("experiment-3", "invert-c2pa",
+                 edit("tolerances.z_quadrature_rtl", 1e-6), id="tolerance-typo"),
+    pytest.param("experiment-3", "invert-c2pa",
+                 edit("tolerances.z_quadrature_rtol", "x"), id="string-tolerance"),
+    pytest.param("experiment-3", "invert-c2pa", edit("fiber.length_cm", True),
+                 id="bool-length"),
+    pytest.param("experiment-3", "report", edit("fiber.gvd_fs2_per_cm", True),
+                 id="bool-optional-number"),
+    pytest.param("experiment-3", "report", edit("fiber.scatter_per_cm", True),
+                 id="bool-table"),
+    pytest.param("experiment-spdc", "e2pa-bound", edit("te_model.s0", True),
+                 id="bool-s0"),
+    pytest.param("experiment-3", "invert-c2pa",
+                 edit("measurement.fc_per_w0sq_cnt_s_uw2", "abc"),
+                 id="string-fit-coefficient"),
+    pytest.param("experiment-3", "report", edit("measurement.fc_per_w0sq", 1.0),
+                 id="unknown-measurement-key"),
+    pytest.param("experiment-3", "report", edit("seeds", "x"), id="string-seeds"),
+    pytest.param("experiment-3", "report", edit("seeds.frames", 1.5),
+                 id="non-integer-seed"),
+    pytest.param("experiment-3", "synth-frames", edit("seeds.frames", -1),
+                 id="negative-seed"),
+    pytest.param("experiment-3", "report", edit("detection.band_nm", [400]),
+                 id="one-number-band"),
+]
+
+
 class TestCliExitCodes:
+    @pytest.mark.parametrize("base,command,mutate", MALFORMED)
+    def test_malformed_config_exits_2(self, tmp_path, capsys, base, command, mutate):
+        path = tmp_path / f"{base}.json"
+        shutil.copy(CONFIG_DIR / f"{base}.json", path)
+        rewrite(path, mutate)
+        argv = [command, "--config", str(path)]
+        if command == "synth-frames":
+            argv += ["--truth-rate", "1.0", "--n", "1", "--out", str(tmp_path / "out")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_mislabelled_jsi_rejected_under_optimize(self, tmp_path):
+        # -O strips assert statements, so header checks must not rely on them
+        path = tmp_path / "jsi.csv"
+        gaussian_jsi(5e13, 2.325e15, n=64).write_csv(path)
+        path.write_text(path.read_text().replace("omega_signal_rad_s", "omega_s"))
+        env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "fibertpa.cli", "entanglement-time",
+             "--jsi", str(path), "--gdd-fs2", "0", "--gvd-fs2-per-cm", "0",
+             "--z-grid", "0:1:1", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_missing_section_exits_2(self, exp3, capsys):
         rewrite(exp3, lambda c: c.pop("fiber"))
         assert main(["report", "--config", str(exp3)]) == 2

@@ -1,5 +1,7 @@
 """Frame synthesis, rate extraction, spike rejection, Allan analysis."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,6 +271,14 @@ class TestDiskRoundTrip:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest"):
             read_series(tmp_path / "nope" / "manifest.json")
+
+    def test_frame_entry_missing_key(self, tmp_path):
+        manifest = write_series(synthesize_series(1.6, CAM, 2, seed=5), tmp_path)
+        data = json.loads(manifest.read_text())
+        del data["frames"][1]["w_out_w"]
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(DataError, match="unreadable manifest.*w_out_w"):
+            read_series(manifest)
 
     def test_corrupt_manifest(self, tmp_path):
         p = tmp_path / "manifest.json"

@@ -9,6 +9,8 @@ from fibertpa import (AttenuationModel, SourceSpec, efficiency_components,
                       fit_exponential_decay, peak_flux, photon_rate, power_at,
                       propagation_profile, pulse_duration)
 from fibertpa.errors import ConfigError, DataError
+from fibertpa.tables import SpectralTable, read_profile_csv
+from fibertpa.uncertainty import read_budget_csv
 from tests.conftest import make_attenuation
 
 
@@ -237,7 +239,6 @@ class TestDecayFit:
             fit_exponential_decay([0.0, 2.0, 1.0], [1.0, 0.5, 0.2])
 
     def test_csv_ingestion_path(self, tmp_path):
-        from fibertpa.tables import read_profile_csv
         z = np.linspace(0.5, 25.0, 30)
         i = 4.2 * np.exp(-0.093 * z)
         path = tmp_path / "scatter.csv"
@@ -246,3 +247,18 @@ class TestDecayFit:
         z_in, i_in = read_profile_csv(path)
         fit = fit_exponential_decay(z_in, i_in)
         assert fit.coefficient_per_cm == pytest.approx(0.093, rel=1e-10)
+
+
+class TestCsvRows:
+    @pytest.mark.parametrize("read", [read_profile_csv, SpectralTable.from_csv,
+                                      read_budget_csv],
+                             ids=["profile", "spectral-table", "budget"])
+    def test_csv_rows_take_one_header(self, tmp_path, read):
+        path = tmp_path / "rows.csv"
+        path.write_text("# comment\n\nname,x,y\n1.0,2.0,3.0\n\n4.0,5.0,6.0\n")
+        read(path)
+        for bad in ("name,x,y\n1.0,2.0,3.0\nnot,a,row\n",
+                    "name,x,y\nunits,x,y\n1.0,2.0,3.0\n"):
+            path.write_text(bad)
+            with pytest.raises(DataError, match="malformed row"):
+                read(path)
