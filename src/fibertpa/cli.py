@@ -8,6 +8,7 @@ written), 2 configuration or data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,6 +29,23 @@ from .report import build_report
 from .tables import write_csv
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for every float flag: rejects nan and infinities."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _flb(args) -> float | None:
+    if args.flb is not None and args.flb <= 0:
+        raise ConfigError(f"--flb must be positive, got {args.flb:g}")
+    return args.flb
+
+
 def _parse_power_grid(text: str) -> np.ndarray:
     """START:STOP:POINTS, log-spaced in watts."""
     try:
@@ -35,8 +53,8 @@ def _parse_power_grid(text: str) -> np.ndarray:
         start, stop, points = float(start), float(stop), int(points)
     except ValueError as exc:
         raise ConfigError(f"bad power grid {text!r}; expected START:STOP:POINTS") from exc
-    if start <= 0 or stop <= start or points < 2:
-        raise ConfigError(f"power grid must satisfy 0 < start < stop, points >= 2")
+    if not 0 < start < stop < math.inf or points < 2:
+        raise ConfigError("power grid must satisfy 0 < start < stop (finite), points >= 2")
     return np.logspace(np.log10(start), np.log10(stop), points)
 
 
@@ -46,8 +64,8 @@ def _parse_z_grid(text: str) -> np.ndarray:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad z grid {text!r}; expected START:STOP:STEP") from exc
-    if step <= 0 or stop < start or start < 0:
-        raise ConfigError("z grid must satisfy 0 <= start <= stop, step > 0")
+    if not (0 <= start <= stop < math.inf and 0 < step < math.inf):
+        raise ConfigError("z grid must satisfy 0 <= start <= stop, step > 0 (all finite)")
     return np.arange(start, stop + step / 2.0, step)
 
 
@@ -124,11 +142,12 @@ def cmd_e2pa_bound(args) -> int:
         raise ConfigError("missing required section 'pair_source'")
     if cfg.te_model is None:
         raise ConfigError("missing required section 'te_model'")
-    sig = sigma_e_upper_bound(args.flb, cfg.source, cfg.pair_source,
+    flb = _flb(args)
+    sig = sigma_e_upper_bound(flb, cfg.source, cfg.pair_source,
                               cfg.attenuation, cfg.fiber, cfg.fluorophore,
                               cfg.detection, cfg.te_model,
                               rtol=cfg.z_quadrature_rtol)
-    print(f"sigma_E upper bound = {sig:.4e} cm^2 at F_LB = {args.flb:g} cnt/s "
+    print(f"sigma_E upper bound = {sig:.4e} cm^2 at F_LB = {flb:g} cnt/s "
           f"(spectral mode: {cfg.fluorophore.spectral_mode})")
     lo, hi = cfg.pair_source.entanglement_area_um2
     if hi > 0:
@@ -203,7 +222,7 @@ def cmd_synth_frames(args) -> int:
 
 def cmd_report(args) -> int:
     cfg = load_config(args.config)
-    text = build_report(cfg, f_lb_cnt_s=args.flb)
+    text = build_report(cfg, f_lb_cnt_s=_flb(args))
     if args.out:
         out = _out_dir(args) / "report.txt"
         out.write_text(text)
@@ -226,27 +245,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True)
     sp.add_argument("--power-grid", default="1e-9:1e-7:25",
                     help="START:STOP:POINTS in watts, log-spaced")
-    sp.add_argument("--sigma-c-gm", type=float, default=None)
+    sp.add_argument("--sigma-c-gm", type=_finite_float, default=None)
     sp.add_argument("--out", default="out")
     sp.set_defaults(func=cmd_simulate_c2pef)
 
     sp = sub.add_parser("invert-c2pa", help="cross-section from fit coefficients")
     sp.add_argument("--config", action="append", required=True,
                     help="repeat for batch mode")
-    sp.add_argument("--fit-coefficient", type=float, default=None,
+    sp.add_argument("--fit-coefficient", type=_finite_float, default=None,
                     help="F_C/W0^2 in cnt/s/uW^2 (single config only)")
     sp.set_defaults(func=cmd_invert_c2pa)
 
     sp = sub.add_parser("e2pa-bound", help="pair cross-section upper bound")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--flb", type=float, default=1.0,
+    sp.add_argument("--flb", type=_finite_float, default=1.0,
                     help="fluorescence lower bound in cnt/s")
     sp.set_defaults(func=cmd_e2pa_bound)
 
     sp = sub.add_parser("entanglement-time", help="T_e(z) from a JSI grid")
     sp.add_argument("--jsi", required=True)
-    sp.add_argument("--gdd-fs2", type=float, required=True)
-    sp.add_argument("--gvd-fs2-per-cm", type=float, required=True)
+    sp.add_argument("--gdd-fs2", type=_finite_float, required=True)
+    sp.add_argument("--gvd-fs2-per-cm", type=_finite_float, required=True)
     sp.add_argument("--z-grid", default="0:36:1", help="START:STOP:STEP in cm")
     sp.add_argument("--zero-pad", type=int, default=4)
     sp.add_argument("--out", default="out")
@@ -260,23 +279,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("synth-frames", help="synthesize a frame series")
     sp.add_argument("--config", default=None)
-    sp.add_argument("--truth-rate", type=float, required=True,
+    sp.add_argument("--truth-rate", type=_finite_float, required=True,
                     help="injected rate in cnt/s")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--seed", type=int, default=None,
                     help="defaults to the config's seeds.frames, then 0")
-    sp.add_argument("--cic-probability", type=float, default=0.0)
-    sp.add_argument("--cic-amplitude", type=float, default=100.0,
+    sp.add_argument("--cic-probability", type=_finite_float, default=0.0)
+    sp.add_argument("--cic-amplitude", type=_finite_float, default=100.0,
                     help="spike height in apparent cnt/s")
     sp.add_argument("--drift", choices=["none", "ramp", "random_walk"],
                     default="none")
-    sp.add_argument("--drift-magnitude", type=float, default=0.0)
+    sp.add_argument("--drift-magnitude", type=_finite_float, default=0.0)
     sp.add_argument("--out", default="out")
     sp.set_defaults(func=cmd_synth_frames)
 
     sp = sub.add_parser("report", help="consolidated run report")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--flb", type=float, default=None)
+    sp.add_argument("--flb", type=_finite_float, default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_report)
 

@@ -377,7 +377,10 @@ def _write_image(path: Path, image: np.ndarray) -> None:
 def _read_image(path: Path) -> np.ndarray:
     if not path.exists():
         raise DataError(f"frame image not found: {path}")
-    return np.atleast_2d(np.loadtxt(path, delimiter=","))
+    try:
+        return np.atleast_2d(np.loadtxt(path, delimiter=","))
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed frame image ({exc})") from exc
 
 
 def write_series(series: FrameSeries, out_dir) -> Path:

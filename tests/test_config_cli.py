@@ -164,7 +164,80 @@ MALFORMED = [
 ]
 
 
+def jsi_args(tmp_path, *flags, cell=None):
+    """entanglement-time on a small Gaussian JSI, optionally with the first
+    intensity cell replaced by `cell`."""
+    path = tmp_path / "jsi.csv"
+    gaussian_jsi(5e13, 2.325e15, n=64).write_csv(path)
+    if cell is not None:
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join([cell] + lines[3].split(",")[1:])
+        path.write_text("\n".join(lines) + "\n")
+    return ["entanglement-time", "--jsi", str(path), "--gdd-fs2", "0",
+            "--gvd-fs2-per-cm", "0", "--z-grid", "0:1:1",
+            "--out", str(tmp_path / "out"), *flags]
+
+
+def bad_frame_args(tmp_path):
+    run = tmp_path / "frames"
+    assert main(["synth-frames", "--truth-rate", "1.0", "--n", "2", "--seed", "1",
+                 "--out", str(run)]) == 0
+    (run / "sig_00000.csv").write_text("x,y\n")
+    return ["analyze-frames", "--manifest", str(run / "manifest.json"),
+            "--out", str(tmp_path / "out")]
+
+
+def config_args(command, name, *flags):
+    return lambda tmp_path: [command, "--config", str(CONFIG_DIR / f"{name}.json"),
+                             *flags]
+
+
+# command lines (built in a temporary directory) that must end in exit 2 and
+# an error line, never a traceback or a run on a non-finite value
+BAD_ARGUMENTS = [
+    pytest.param(lambda t: jsi_args(t, "--zero-pad", "0"), id="zero-pad-0"),
+    pytest.param(lambda t: jsi_args(t, "--zero-pad", "-2"), id="zero-pad-negative"),
+    pytest.param(lambda t: jsi_args(t, "--gdd-fs2", "nan"), id="gdd-nan"),
+    pytest.param(lambda t: jsi_args(t, "--gvd-fs2-per-cm", "inf"), id="gvd-inf"),
+    pytest.param(lambda t: jsi_args(t, "--z-grid", "0:nan:1"), id="z-grid-nan"),
+    pytest.param(lambda t: jsi_args(t, cell="nan"), id="jsi-nan-cell"),
+    pytest.param(lambda t: jsi_args(t, cell="inf"), id="jsi-inf-cell"),
+    pytest.param(bad_frame_args, id="frame-non-numeric-cell"),
+    pytest.param(config_args("invert-c2pa", "experiment-3", "--fit-coefficient", "nan"),
+                 id="fit-coefficient-nan"),
+    pytest.param(config_args("invert-c2pa", "experiment-3", "--fit-coefficient", "inf"),
+                 id="fit-coefficient-inf"),
+    pytest.param(config_args("e2pa-bound", "experiment-spdc", "--flb", "nan"),
+                 id="flb-nan"),
+    pytest.param(config_args("e2pa-bound", "experiment-spdc", "--flb", "-1"),
+                 id="flb-negative"),
+    pytest.param(config_args("e2pa-bound", "experiment-spdc", "--flb", "0"),
+                 id="flb-zero"),
+    pytest.param(config_args("report", "experiment-spdc", "--flb", "-1"),
+                 id="report-flb-negative"),
+    pytest.param(config_args("simulate-c2pef", "experiment-3", "--sigma-c-gm", "inf"),
+                 id="sigma-c-inf"),
+    pytest.param(config_args("simulate-c2pef", "experiment-3", "--power-grid",
+                             "1e-9:inf:5"), id="power-grid-inf"),
+    pytest.param(lambda t: ["synth-frames", "--truth-rate", "nan", "--n", "1",
+                            "--out", str(t / "out")], id="truth-rate-nan"),
+]
+
+
 class TestCliExitCodes:
+    @pytest.mark.parametrize("build_argv", BAD_ARGUMENTS)
+    def test_bad_argument_exits_2(self, tmp_path, capsys, build_argv):
+        argv = build_argv(tmp_path)
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag value
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: " in err.splitlines()[-1]
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("base,command,mutate", MALFORMED)
     def test_malformed_config_exits_2(self, tmp_path, capsys, base, command, mutate):
         path = tmp_path / f"{base}.json"
