@@ -12,6 +12,12 @@ line at the emission peak, and a tabulated emission spectrum integrated
 against the wavelength-dependent collection and transmission factors.
 Every report records which mode produced it.
 
+The depth integral of both regimes goes through :func:`depth_integral`,
+which integrates on Gauss-Legendre panels graded from the steepest
+attenuation in the integrand and bisected where the 16- and 32-node
+rules disagree; it raises FitError instead of returning an unresolved
+value.
+
 All cross-sections are handled internally in cm^4 s / photon; the
 Goeppert-Mayer unit (1 GM = 1e-50 cm^4 s) appears only at I/O.
 """
@@ -19,6 +25,7 @@ Goeppert-Mayer unit (1 GM = 1e-50 cm^4 s) appears only at I/O.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -29,6 +36,8 @@ from .propagation import AttenuationModel, SourceSpec, pulse_duration
 from .tables import SpectralTable, write_csv
 
 _PREFACTOR = np.sqrt(2.0) * (LN2 / np.pi) ** 1.5
+_GRADING_RATIO = 4.0
+_PANEL_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -151,44 +160,89 @@ def emission_integral(fluorophore: FluorophoreSpec, detection: DetectionChain,
     return np.trapezoid(gam * kappa * phi, w, axis=-1)[()]
 
 
-def _composite_simpson(f, a: float, b: float, panels: int) -> float:
-    x = np.linspace(a, b, 2 * panels + 1)
-    y = np.asarray(f(x), dtype=float)
-    h = (b - a) / (2 * panels)
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
+@cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(n)
 
 
-def adaptive_simpson(f, a: float, b: float, rtol: float = 1e-8,
-                     min_panels: int = 256, max_doublings: int = 14) -> float:
-    """Composite Simpson with panel doubling until relative convergence.
+def _panel_rules(f, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Per panel: the 32-node estimate and its distance from the 16-node one."""
+    (x16, w16), (x32, w32) = _gauss_legendre(16), _gauss_legendre(32)
+    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    z = mid[:, None] + half[:, None] * np.concatenate([x16, x32])
+    y = np.asarray(f(z.ravel()), dtype=float).reshape(z.shape)
+    i16, i32 = half * (y[:, :16] @ w16), half * (y[:, 16:] @ w32)
+    return i32, np.abs(i32 - i16)
 
-    The integrands here are smooth but can decay over decades when
-    reabsorption is strong, so the panel floor keeps the first pass from
-    missing the boundary layer entirely.
+
+def graded_quadrature(f, length_cm: float, alpha_per_cm: float = 0.0,
+                      rtol: float = 1e-8) -> float:
+    """int_0^l f(z) dz on Gauss-Legendre panels graded away from z = 0.
+
+    Panel edges start at 1/(8 alpha) and grow by a factor of 4 out to l,
+    so the first panels resolve a layer decaying as exp(-alpha z).  Every
+    pass calls f once, on the 16- and 32-node rules of each new panel.
+    Panels whose |I32 - I16| exceeds their equal share of rtol |I| are
+    bisected until the summed estimate is within rtol |I|.  A non-finite
+    estimate, or more than _PANEL_BUDGET panels evaluated, raises
+    FitError rather than returning an unresolved value.
     """
-    prev = _composite_simpson(f, a, b, min_panels)
-    panels = min_panels
-    for _ in range(max_doublings):
-        panels *= 2
-        cur = _composite_simpson(f, a, b, panels)
-        if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    raise FitError(
-        f"z-quadrature did not reach rtol={rtol:g} within {panels} panels"
-    )
+    edges = [0.0]
+    h = 1.0 / (8.0 * alpha_per_cm) if alpha_per_cm > 0 else length_cm
+    while h < length_cm:
+        edges.append(h)
+        h *= _GRADING_RATIO
+    edges.append(length_cm)
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    value, error = _panel_rules(f, lo, hi)
+    evaluated = lo.size
+    while True:
+        total, estimate = value.sum(), error.sum()
+        if not np.isfinite(estimate):
+            raise FitError("depth quadrature met a non-finite integrand")
+        if estimate <= rtol * abs(total):
+            return float(total)
+        split = error > rtol * abs(total) / value.size
+        evaluated += 2 * np.count_nonzero(split)
+        if evaluated > _PANEL_BUDGET:
+            raise FitError(
+                f"depth quadrature did not reach rtol={rtol:g} within "
+                f"{_PANEL_BUDGET} panels (error estimate {estimate:.3g} on an "
+                f"integral of {total:.6g})"
+            )
+        keep, mid = ~split, (lo[split] + hi[split]) / 2.0
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_value, new_error = _panel_rules(f, new_lo, new_hi)
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        value = np.concatenate([value[keep], new_value])
+        error = np.concatenate([error[keep], new_error])
 
 
-def depth_integral(weight, length_cm: float, fluorophore: FluorophoreSpec,
-                   detection: DetectionChain, attenuation: AttenuationModel,
-                   fiber: FiberSpec, rtol: float = 1e-8) -> float:
-    """int_0^l w(z) EI(z) dz; the laser and pair regimes differ only in w(z)."""
+def depth_integral(weight, length_cm: float, excitation_nm: float,
+                   fluorophore: FluorophoreSpec, detection: DetectionChain,
+                   attenuation: AttenuationModel, fiber: FiberSpec,
+                   rtol: float = 1e-8) -> float:
+    """int_0^l w(z) EI(z) dz; the laser and pair regimes differ only in w(z).
+
+    Panels are graded from the fastest decay in the integrand: the
+    return-path attenuation over the emission grid (the peak in
+    single-line mode, every grid point in tabulated mode), or the
+    weight's T(excitation_nm, z)^2, whichever is steeper.
+    """
+    spec = fluorophore.emission_spectrum
+    emission_nm = spec.wavelengths_nm if spec else fluorophore.emission_peak_nm
+
+    def alpha(wavelength_nm):
+        return (attenuation.absorption_coefficient(wavelength_nm)
+                + attenuation.scatter_coefficient(wavelength_nm))
 
     def integrand(z):
         return weight(z) * emission_integral(fluorophore, detection,
                                              attenuation, fiber, z)
 
-    return adaptive_simpson(integrand, 0.0, length_cm, rtol=rtol)
+    steepest = max(np.max(alpha(emission_nm)), 2.0 * alpha(excitation_nm))
+    return graded_quadrature(integrand, length_cm, float(steepest), rtol=rtol)
 
 
 def configuration_integral(source: SourceSpec, fiber: FiberSpec,
@@ -212,7 +266,7 @@ def configuration_integral(source: SourceSpec, fiber: FiberSpec,
         return t2 / (pulse_duration(source, fiber, z) * FS_TO_S)
 
     return depth_integral(weight, fiber.length_cm if length_cm is None else length_cm,
-                          fluorophore, detection, attenuation, fiber, rtol=rtol)
+                          lam_e, fluorophore, detection, attenuation, fiber, rtol=rtol)
 
 
 def _quadratic_gain(source: SourceSpec, fiber: FiberSpec) -> float:
@@ -237,6 +291,8 @@ def forward_c2pef(sigma_c_cm4s: float, source: SourceSpec, fiber: FiberSpec,
             "forward_c2pef models laser excitation; use forward_e2pef for "
             "pair (spdc) sources"
         )
+    if not sigma_c_cm4s >= 0:
+        raise ValueError(f"cross-section must be non-negative, got {sigma_c_cm4s:g}")
     integral = configuration_integral(source, fiber, attenuation, fluorophore,
                                       detection, rtol=rtol)
     n = fluorophore.number_density_per_cm3
@@ -263,6 +319,11 @@ def invert_sigma_c(fc_per_w0sq_cnt_s_w2: float, source: SourceSpec,
     n = fluorophore.number_density_per_cm3
     if n <= 0:
         raise ValueError("number density must be positive to invert")
+    if integral <= 0:
+        raise ConfigError(
+            "configuration integral vanished; check quantum yield, "
+            "detection factors and attenuation"
+        )
     return fc_per_w0sq_cnt_s_w2 / (n * _quadratic_gain(source, fiber) * integral)
 
 

@@ -84,6 +84,8 @@ def cmd_simulate_c2pef(args) -> int:
         sigma_gm = (cfg.measurement or {}).get("sigma_c_gm")
     if sigma_gm is None:
         raise ConfigError("give --sigma-c-gm or set measurement.sigma_c_gm")
+    if sigma_gm < 0:
+        raise ConfigError(f"sigma_C must be non-negative, got {sigma_gm:g} GM")
     grid = _parse_power_grid(args.power_grid)
     rows = []
     for w0 in grid:

@@ -122,7 +122,7 @@ def _pair_excitation_integral(source: SourceSpec, pair_source: PairSource,
         return (te0 / te_model.te_fs(z)) * pair_rate(pair_source, attenuation,
                                                       lam_e, z)
 
-    return depth_integral(weight, fiber.length_cm, fluorophore, detection,
+    return depth_integral(weight, fiber.length_cm, lam_e, fluorophore, detection,
                           attenuation, fiber, rtol=rtol)
 
 
@@ -137,6 +137,8 @@ def forward_e2pef(sigma_e_cm2: float, source: SourceSpec,
             "forward_e2pef models pair (spdc) excitation; use forward_c2pef "
             "for laser sources"
         )
+    if not sigma_e_cm2 >= 0:
+        raise ValueError(f"cross-section must be non-negative, got {sigma_e_cm2:g}")
     integral = _pair_excitation_integral(source, pair_source, attenuation,
                                          fiber, fluorophore, detection,
                                          te_model, rtol=rtol)

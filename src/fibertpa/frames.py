@@ -162,6 +162,8 @@ def synthesize_series(truth_rate_cnt_s: float, camera: CameraConfig,
         raise ConfigError("truth rate must be non-negative")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
+    if not 0 <= cic_probability <= 1:
+        raise ConfigError(f"CIC probability must be in [0, 1], got {cic_probability:g}")
     pattern = _spot_pattern(camera.roi)
     cam = camera
     t = cam.integration_s

@@ -4,15 +4,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from fibertpa import (DetectionChain, FluorophoreSpec, SourceSpec,
+from fibertpa import (DetectionChain, FluorophoreSpec, SourceSpec, c2pa,
                       conc_normalized_curve, detection_efficiency,
-                      emission_integral, forward_c2pef, invert_sigma_c)
-from fibertpa.c2pa import adaptive_simpson, configuration_integral
-from fibertpa.constants import GM_CM4_S
-from fibertpa.errors import DataError
+                      emission_integral, forward_c2pef, invert_sigma_c,
+                      load_config)
+from fibertpa.c2pa import configuration_integral, graded_quadrature
+from fibertpa.constants import FS_TO_S, GM_CM4_S
+from fibertpa.errors import DataError, FitError
+from fibertpa.propagation import pulse_duration
 from fibertpa.tables import SpectralTable
-from tests.conftest import make_attenuation
+from tests.conftest import CONFIG_DIR, make_attenuation
 
 
 def laser(w0=1.0e-6):
@@ -81,19 +84,121 @@ class TestEmissionIntegral:
                             SpectralTable(tuple(grid), tuple(np.ones_like(grid))))
 
 
-class TestAdaptiveSimpson:
+def laser_integrand(cfg, source):
+    """The documented configuration integrand T^2(z) / tau(z) * EI(z)."""
+    att, lam_e = cfg.attenuation, source.wavelength_nm
+
+    def g(z):
+        t = att.absorption_transmission(lam_e, z) * att.scatter_transmission(lam_e, z)
+        return t * t / (pulse_duration(source, cfg.fiber, z) * FS_TO_S) * \
+            emission_integral(cfg.fluorophore, cfg.detection, att, cfg.fiber, z)
+
+    return g
+
+
+def quad_reference(g, length_cm, points):
+    edges = [0.0, *sorted(points), length_cm]
+    return sum(quad(g, a, b, epsabs=0.0, epsrel=1e-11, limit=400)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
+
+
+def tabulated(cfg):
+    """cfg with a 131-point emission spectrum across its detection band."""
+    grid = np.linspace(*cfg.detection.band_nm, 131)
+    shape = np.exp(-(((grid - 451.0) / 15.0) ** 2))
+    fl = FluorophoreSpec.with_spectrum_shape(
+        cfg.fluorophore.quantum_yield, cfg.fluorophore.emission_peak_nm,
+        cfg.fluorophore.concentration_m, SpectralTable(tuple(grid), tuple(shape)))
+    return dataclasses.replace(cfg, fluorophore=fl)
+
+
+def laser_args(cfg):
+    return (cfg.fiber, cfg.attenuation, cfg.fluorophore, cfg.detection)
+
+
+class TestDepthQuadrature:
     def test_polynomial_exact(self):
-        assert adaptive_simpson(lambda x: x**3, 0.0, 2.0) == pytest.approx(4.0, rel=1e-12)
+        assert graded_quadrature(lambda x: x**3, 2.0) == pytest.approx(4.0, rel=1e-12)
 
     def test_boundary_layer_integrand(self):
         k = 23.4
-        val = adaptive_simpson(lambda x: np.exp(-k * x), 0.0, 36.0, rtol=1e-10)
+        val = graded_quadrature(lambda x: np.exp(-k * x), 36.0, k, rtol=1e-10)
         assert val == pytest.approx(1.0 / k, rel=1e-9)
 
-    def test_unresolvable_boundary_layer_raises(self):
-        from fibertpa.errors import FitError
+    def test_unresolvable_integrand_raises(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return 1.0 + np.cos(1e6 * x)
+
         with pytest.raises(FitError, match="quadrature"):
-            adaptive_simpson(lambda x: np.exp(-1e8 * x), 0.0, 36.0)
+            graded_quadrature(f, 36.0)
+        assert sum(calls) <= 4096 * 48  # the panel budget bounds the work
+
+    def test_mid_fiber_chirp_zero_matches_quad(self):
+        # a 1 fs pulse whose pre-chirp cancels 17.3 cm in: 1/tau(z) peaks over
+        # ~4e-4 cm inside a graded panel, which only bisection resolves
+        cfg = load_config(CONFIG_DIR / "experiment-1.json")
+        z0 = 17.3
+        source = dataclasses.replace(cfg.source, pulse_fwhm_fs=1.0,
+                                     pre_fiber_gdd_fs2=-cfg.fiber.gvd_fs2_per_cm * z0)
+        val = configuration_integral(source, *laser_args(cfg),
+                                     rtol=cfg.z_quadrature_rtol)
+        ref = quad_reference(laser_integrand(cfg, source), cfg.fiber.length_cm,
+                             [0.01, 0.1, 1.0, z0])
+        assert val == pytest.approx(ref, rel=1e-9)
+
+    def test_steep_excitation_attenuation_matches_closed_form(self, fiber2,
+                                                              fluorophore3, detection3):
+        # T(810 nm, z)^2 decays over ~1e-10 cm, far inside the first panel
+        # graded from the emission side; the grading must follow it
+        att = dataclasses.replace(make_attenuation(), sample_extinction_per_m_cm=(
+            SpectralTable((451.0, 810.0), (4417.0, 1e12))))
+        decay = 2.0 * att.absorption_coefficient(810.0) + \
+            att.absorption_coefficient(451.0) + att.scatter_coefficient(451.0)
+        ei0 = emission_integral(fluorophore3, detection3, att, fiber2, 0.0)
+        val = configuration_integral(laser(), fiber2, att, fluorophore3, detection3)
+        assert val == pytest.approx(ei0 / (110.0 * FS_TO_S * decay), rel=1e-9)
+
+    @pytest.mark.parametrize("mode", ["single line", "tabulated spectrum"])
+    def test_experiment_3_matches_quad(self, mode):
+        cfg = load_config(CONFIG_DIR / "experiment-3.json")
+        if mode == "tabulated spectrum":
+            cfg = tabulated(cfg)
+        assert cfg.fluorophore.spectral_mode == mode
+        assert cfg.fluorophore.concentration_m == 2.30e-3
+        val = configuration_integral(cfg.source, *laser_args(cfg),
+                                     rtol=cfg.z_quadrature_rtol)
+        ref = quad_reference(laser_integrand(cfg, cfg.source), cfg.fiber.length_cm,
+                             [0.005, 0.02, 0.1, 0.5, 2.0])
+        assert val == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("spectrum", [False, True])
+    def test_bounded_node_count(self, monkeypatch, spectrum):
+        depths = []
+        emission = c2pa.emission_integral
+
+        def counted(fluorophore, detection, attenuation, fiber, z):
+            depths.append(np.size(z))
+            return emission(fluorophore, detection, attenuation, fiber, z)
+
+        monkeypatch.setattr(c2pa, "emission_integral", counted)
+        cfg = load_config(CONFIG_DIR / "experiment-3.json")
+        cfg = tabulated(cfg) if spectrum else cfg
+        configuration_integral(cfg.source, *laser_args(cfg),
+                               rtol=cfg.z_quadrature_rtol)
+        assert 0 < sum(depths) <= 1000
+
+    @pytest.mark.parametrize("spectrum", [False, True])
+    def test_round_trip(self, spectrum):
+        cfg = load_config(CONFIG_DIR / "experiment-3.json")
+        cfg = tabulated(cfg) if spectrum else cfg
+        sigma = 570.0 * GM_CM4_S
+        fc = forward_c2pef(sigma, cfg.source, *laser_args(cfg))
+        coeff = fc / cfg.source.input_power_w**2
+        assert invert_sigma_c(coeff, cfg.source, *laser_args(cfg)) == \
+            pytest.approx(sigma, rel=1e-10)
 
 
 class TestNumberDensity:
@@ -112,6 +217,11 @@ class TestForwardModel:
     def test_zero_cross_section(self, fiber2, fluorophore3, detection3):
         att = make_attenuation()
         assert forward_c2pef(0.0, laser(), fiber2, att, fluorophore3, detection3) == 0.0
+
+    def test_negative_cross_section_rejected(self, fiber2, fluorophore3, detection3):
+        with pytest.raises(ValueError, match="non-negative"):
+            forward_c2pef(-5.0 * GM_CM4_S, laser(), fiber2, make_attenuation(),
+                          fluorophore3, detection3)
 
     def test_exact_quadratic_power_scaling(self, fiber2, fluorophore3, detection3):
         att = make_attenuation()

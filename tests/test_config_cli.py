@@ -154,6 +154,10 @@ MALFORMED = [
                  id="string-fit-coefficient"),
     pytest.param("experiment-3", "report", edit("measurement.fc_per_w0sq", 1.0),
                  id="unknown-measurement-key"),
+    pytest.param("experiment-3", "simulate-c2pef", edit("measurement.sigma_c_gm", -5.0),
+                 id="negative-sigma-c"),
+    pytest.param("experiment-3", "invert-c2pa", edit("fluorophore.quantum_yield", 0.0),
+                 id="dark-fluorophore"),
     pytest.param("experiment-3", "report", edit("seeds", "x"), id="string-seeds"),
     pytest.param("experiment-3", "report", edit("seeds.frames", 1.5),
                  id="non-integer-seed"),
@@ -221,6 +225,16 @@ BAD_ARGUMENTS = [
                              "1e-9:inf:5"), id="power-grid-inf"),
     pytest.param(lambda t: ["synth-frames", "--truth-rate", "nan", "--n", "1",
                             "--out", str(t / "out")], id="truth-rate-nan"),
+    pytest.param(lambda t: ["simulate-c2pef", "--config",
+                            str(CONFIG_DIR / "experiment-3.json"),
+                            "--sigma-c-gm", "-5", "--out", str(t / "out")],
+                 id="sigma-c-negative"),
+    pytest.param(lambda t: ["synth-frames", "--truth-rate", "1", "--n", "1",
+                            "--cic-probability", "2", "--out", str(t / "out")],
+                 id="cic-probability-above-1"),
+    pytest.param(lambda t: ["synth-frames", "--truth-rate", "1", "--n", "1",
+                            "--cic-probability", "-0.1", "--out", str(t / "out")],
+                 id="cic-probability-negative"),
 ]
 
 
@@ -293,10 +307,11 @@ class TestCliExitCodes:
                      "--gvd-fs2-per-cm", "0", "--out", str(tmp_path)]) == 2
 
     def test_numerical_failure_exits_3(self, exp3, capsys):
-        # an extinction this large leaves a boundary layer the quadrature
-        # cannot resolve within its doubling budget
-        rewrite(exp3, lambda c: c["attenuation"].__setitem__(
-            "sample_extinction_per_m_cm", {"451": 1e11, "810": 0.0}))
+        # an attosecond pulse whose chirp cancels 0.02 cm into the fiber
+        # peaks 1/tau(z) over ~1e-16 cm, below what the depth quadrature
+        # can resolve within its panel budget
+        rewrite(exp3, lambda c: c["source"].update(
+            pulse_fwhm_fs=1e-6, pre_fiber_gdd_fs2=-1034.0 * 0.02))
         code = main(["invert-c2pa", "--config", str(exp3)])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err

@@ -118,6 +118,12 @@ class TestForwardAndBound:
             forward_e2pef(1e-24, laser_source, pair_source3, att, fiber2,
                           fluorophore3, detection3, te_model3)
 
+    def test_negative_cross_section_rejected(self, spdc_source, pair_source3, fiber2,
+                                             fluorophore3, detection3, te_model3):
+        with pytest.raises(ValueError, match="non-negative"):
+            forward_e2pef(-1e-22, spdc_source, pair_source3, make_attenuation(), fiber2,
+                          fluorophore3, detection3, te_model3)
+
     def test_round_trip_exact(self, spdc_source, pair_source3, fiber2,
                               fluorophore3, detection3, te_model3):
         att = make_attenuation()
